@@ -64,15 +64,21 @@ func ChoosePeriod(hist *[timing.ClockPS + 1]int64, maxErr float64) (periodPS int
 }
 
 // RunTS evaluates timing speculation for a program on a core: run the
-// baseline to collect the actual-delay histogram, choose the overclocked
-// period, then re-run with memory latencies rescaled (DRAM time is constant
-// in nanoseconds, so it costs more of the shorter cycles) and convert the
-// cycle counts to wall-clock speedup.
+// baseline to collect the actual-delay histogram, then continue as RunTSFrom.
 func RunTS(cfg ooo.Config, prog *isa.Program) (TSResult, error) {
 	base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), prog)
 	if err != nil {
 		return TSResult{}, fmt.Errorf("baseline run: %w", err)
 	}
+	return RunTSFrom(cfg, prog, base)
+}
+
+// RunTSFrom evaluates timing speculation from base, an existing baseline run
+// of prog on cfg: choose the overclocked period from its actual-delay
+// histogram, then re-run with memory latencies rescaled (DRAM time is
+// constant in nanoseconds, so it costs more of the shorter cycles) and
+// convert the cycle counts to wall-clock speedup.
+func RunTSFrom(cfg ooo.Config, prog *isa.Program, base *ooo.Result) (TSResult, error) {
 	period, errRate := ChoosePeriod(&base.DelayHistogram, MaxErrorRate)
 	if period >= timing.ClockPS {
 		return TSResult{PeriodPS: timing.ClockPS, ErrorRate: errRate, Speedup: 1, Cycles: base.Cycles}, nil
@@ -145,7 +151,7 @@ func Compare(cfg ooo.Config, prog *isa.Program) (*Comparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts, err := RunTS(cfg, prog)
+	ts, err := RunTSFrom(cfg, prog, base)
 	if err != nil {
 		return nil, err
 	}

@@ -120,6 +120,11 @@ func TestCompareBundlesAllFour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Compare starts TS from its own baseline run; the result must be the
+	// one RunTS gets from a baseline run of its own.
+	if ts, err := RunTS(ooo.SmallConfig(), logicChain(200)); err != nil || ts != cmp.TS {
+		t.Fatalf("Compare's TS = %+v, RunTS = %+v (%v)", cmp.TS, ts, err)
+	}
 	if cmp.RedsocSpeedup() <= 1.0 {
 		t.Fatalf("redsoc speedup %v", cmp.RedsocSpeedup())
 	}

@@ -8,14 +8,21 @@ import (
 	"strings"
 	"testing"
 
+	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 )
 
 // runSerialReference is the pre-campaign serial evaluation loop, kept
 // verbatim as the golden reference: the parallel Run must reproduce its
 // grid — cells, thresholds, progress lines and rendered tables — byte for
-// byte at any worker count.
-func runSerialReference(benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
+// byte at any worker count. It shares no run between the sweep and the
+// cells: every simulation goes straight to ooo.Run through sim, which counts
+// them into *sims.
+func runSerialReference(benchmarks []Benchmark, cores []ooo.Config, opts Options, sims *int) (*Grid, error) {
+	sim := func(cfg ooo.Config, p *isa.Program) (*ooo.Result, error) {
+		*sims++
+		return ooo.Run(cfg, p)
+	}
 	g := &Grid{ChosenThreshold: map[Class]map[string]int{}}
 	byClass := map[Class][]Benchmark{}
 	for _, b := range benchmarks {
@@ -28,14 +35,13 @@ func runSerialReference(benchmarks []Benchmark, cores []ooo.Config, opts Options
 		}
 		g.ChosenThreshold[class] = map[string]int{}
 		for _, cfg := range cores {
-			th, err := chooseThresholdSerial(bs, cfg, opts)
+			th, err := chooseThresholdSerial(sim, bs, cfg, opts)
 			if err != nil {
 				return nil, err
 			}
 			g.ChosenThreshold[class][cfg.Name] = th
 			for _, b := range bs {
-				c := cfg
-				cmp, err := compareAt(context.Background(), c, b, th)
+				cmp, err := compareCell(context.Background(), sim, cfg, b.Prog, th)
 				if err != nil {
 					return nil, fmt.Errorf("harness: %s on %s: %w", b.Name, cfg.Name, err)
 				}
@@ -55,7 +61,7 @@ func runSerialReference(benchmarks []Benchmark, cores []ooo.Config, opts Options
 	return g, nil
 }
 
-func chooseThresholdSerial(bs []Benchmark, cfg ooo.Config, opts Options) (int, error) {
+func chooseThresholdSerial(sim simFunc, bs []Benchmark, cfg ooo.Config, opts Options) (int, error) {
 	if !opts.SweepThreshold {
 		return cfg.WithPolicy(ooo.PolicyRedsoc).Redsoc.ThresholdTicks, nil
 	}
@@ -63,13 +69,13 @@ func chooseThresholdSerial(bs []Benchmark, cfg ooo.Config, opts Options) (int, e
 	for _, th := range ThresholdCandidates {
 		total := 0.0
 		for _, b := range bs {
-			base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
+			base, err := sim(cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
 			if err != nil {
 				return 0, err
 			}
 			rc := cfg.WithPolicy(ooo.PolicyRedsoc)
 			rc.Redsoc.ThresholdTicks = th
-			red, err := ooo.Run(rc, b.Prog)
+			red, err := sim(rc, b.Prog)
 			if err != nil {
 				return 0, err
 			}
@@ -129,9 +135,16 @@ func TestParallelGridMatchesSerialGolden(t *testing.T) {
 
 	var serialLines []string
 	serialOpts := Options{SweepThreshold: true, Progress: func(s string) { serialLines = append(serialLines, s) }}
-	serial, err := runSerialReference(benchmarks, cores, serialOpts)
+	serialSims := 0
+	serial, err := runSerialReference(benchmarks, cores, serialOpts, &serialSims)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The oracle must stay independent of the grid's memo: per (benchmark,
+	// core) it simulates the sweep's baseline and ReDSOC run at every
+	// candidate plus the cell's five policies, sharing nothing.
+	if want := len(benchmarks) * len(cores) * (2*len(ThresholdCandidates) + 5); serialSims != want {
+		t.Fatalf("serial oracle ran %d simulations, want %d", serialSims, want)
 	}
 
 	var parLines []string
@@ -144,6 +157,19 @@ func TestParallelGridMatchesSerialGolden(t *testing.T) {
 
 	if got, want := strings.Join(parLines, "\n"), strings.Join(serialLines, "\n"); got != want {
 		t.Errorf("progress streams diverge:\nparallel:\n%s\nserial:\n%s", got, want)
+	}
+	serialResults := map[*ooo.Result]bool{}
+	for _, c := range serial.Cells {
+		for _, r := range simulated(c.Cmp) {
+			serialResults[r] = true
+		}
+	}
+	for _, c := range par.Cells {
+		for _, r := range simulated(c.Cmp) {
+			if serialResults[r] {
+				t.Fatalf("%s/%s: the serial oracle and the grid share a %s result", c.Benchmark.Name, c.Core, r.Config.Policy)
+			}
+		}
 	}
 	sf, pf := gridFingerprint(t, serial), gridFingerprint(t, par)
 	if sf != pf {

@@ -11,6 +11,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -283,11 +284,19 @@ func campaignOptions[T any](opts Options, label func(int) string, onDone func(in
 // Run executes the grid. The Sec. VI-C threshold sweep and the grid cells
 // each run as a concurrent campaign: cells are simulated in parallel but
 // appended to the grid — and reported through Progress — in the same
-// class → core → benchmark order the serial evaluation used. ctx cancels
+// class → core → benchmark order the serial evaluation used. Each distinct
+// simulation runs once per grid: the sweep and the cells share their
+// baseline and chosen-threshold ReDSOC runs (see simMemo). ctx cancels
 // in-flight scheduling (SIGINT in the CLIs lands here); with a journal
 // armed, everything completed before the cancellation is already persisted
 // and a -resume run picks up exactly where this one stopped.
 func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options) (*Grid, error) {
+	return run(ctx, benchmarks, cores, opts, newSimMemo(ooo.Run))
+}
+
+// run is Run over a caller-supplied memo, which every simulation of the grid
+// goes through (TS's scaled re-run aside, which no other unit shares).
+func run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts Options, memo *simMemo) (*Grid, error) {
 	if err := opts.Shard.Validate(); err != nil {
 		return nil, err
 	}
@@ -315,7 +324,7 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 			pairs = append(pairs, classCore{class, cfg})
 		}
 	}
-	thresholds, err := chooseThresholds(ctx, pairs, byClass, digests, opts)
+	thresholds, err := chooseThresholds(ctx, pairs, byClass, digests, opts, memo)
 	if err != nil {
 		return nil, err
 	}
@@ -340,6 +349,16 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 	// owned→task index mapping keeps cell identity (keys, labels, journal
 	// records) exactly what the unsharded run would use.
 	owned := opts.Shard.Assign(len(tasks))
+	// The sweep is done: keep only the baseline and chosen-threshold ReDSOC
+	// runs the owned cells will read, and let the rest be collected.
+	var needed []simKey
+	for _, i := range owned {
+		t := tasks[i]
+		needed = append(needed,
+			simKey{t.b.Prog, t.cfg.WithPolicy(ooo.PolicyBaseline)},
+			simKey{t.b.Prog, redsocAt(t.cfg, t.th)})
+	}
+	memo.keepOnly(needed)
 	if opts.Journal != nil {
 		desc := "grid cells"
 		if opts.Shard.Enabled() {
@@ -371,7 +390,7 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 					return c, nil
 				}
 			}
-			cmp, err := compareAt(ctx, t.cfg, t.b, t.th)
+			cmp, err := compareCell(ctx, memo.run, t.cfg, t.b.Prog, t.th)
 			if err != nil {
 				return Cell{}, fmt.Errorf("harness: %s on %s: %w", t.b.Name, t.cfg.Name, err)
 			}
@@ -397,8 +416,12 @@ func Run(ctx context.Context, benchmarks []Benchmark, cores []ooo.Config, opts O
 // pair: pick the slack threshold that maximizes the class's summed speedup
 // on that core. The (pair, candidate) grid is flattened into one campaign;
 // the reduction walks candidates in declared order with a strict >, so ties
-// resolve to the earliest candidate exactly as the serial sweep did.
-func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class][]Benchmark, digests map[*isa.Program][]byte, opts Options) ([]int, error) {
+// resolve to the earliest candidate exactly as the serial sweep did. The four
+// candidates of a pair share each benchmark's baseline run through memo.
+// Tasks run candidate-major (every pair at the first candidate, then every
+// pair at the next), so concurrent workers sweep different pairs and rarely
+// wait on a baseline another worker is still simulating.
+func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class][]Benchmark, digests map[*isa.Program][]byte, opts Options, memo *simMemo) ([]int, error) {
 	out := make([]int, len(pairs))
 	if !opts.SweepThreshold {
 		for i, pr := range pairs {
@@ -406,18 +429,18 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 		}
 		return out, nil
 	}
-	nc := len(ThresholdCandidates)
+	np, nc := len(pairs), len(ThresholdCandidates)
 	if opts.Journal != nil {
-		_ = opts.Journal.LogCampaign(len(pairs)*nc, "threshold sweep")
+		_ = opts.Journal.LogCampaign(np*nc, "threshold sweep")
 	}
 	label := func(i int) string {
-		pr := pairs[i/nc]
-		return fmt.Sprintf("sweep %s/%s th=%d", pr.class, pr.cfg.Name, ThresholdCandidates[i%nc])
+		pr := pairs[i%np]
+		return fmt.Sprintf("sweep %s/%s th=%d", pr.class, pr.cfg.Name, ThresholdCandidates[i/np])
 	}
-	totals, err := campaign.Run(ctx, len(pairs)*nc,
+	totals, err := campaign.Run(ctx, np*nc,
 		campaignOptions[float64](opts, label, nil),
 		func(ctx context.Context, i int) (float64, error) {
-			pr, th := pairs[i/nc], ThresholdCandidates[i%nc]
+			pr, th := pairs[i%np], ThresholdCandidates[i/np]
 			var key cellstore.Key
 			if opts.Journal != nil {
 				class := byClass[pr.class]
@@ -435,13 +458,11 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 			total := 0.0
 			for _, b := range byClass[pr.class] {
 				campaign.Heartbeat(ctx, fmt.Sprintf("%s: simulating %s", label(i), b.Name))
-				base, err := ooo.Run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
+				base, err := memo.run(pr.cfg.WithPolicy(ooo.PolicyBaseline), b.Prog)
 				if err != nil {
 					return 0, err
 				}
-				rc := pr.cfg.WithPolicy(ooo.PolicyRedsoc)
-				rc.Redsoc.ThresholdTicks = th
-				red, err := ooo.Run(rc, b.Prog)
+				red, err := memo.run(redsocAt(pr.cfg, th), b.Prog)
 				if err != nil {
 					return 0, err
 				}
@@ -460,7 +481,7 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 	for p := range pairs {
 		best, bestGain := ThresholdCandidates[0], -1.0
 		for c, th := range ThresholdCandidates {
-			if total := totals[p*nc+c]; total > bestGain {
+			if total := totals[c*np+p]; total > bestGain {
 				best, bestGain = th, total
 			}
 		}
@@ -469,64 +490,81 @@ func chooseThresholds(ctx context.Context, pairs []classCore, byClass map[Class]
 	return out, nil
 }
 
-// compareAt runs the six schedulers with the given ReDSOC threshold. The
-// heartbeats between runs feed the campaign watchdog: a stall report names
-// which of the six simulations a hung cell last finished.
-func compareAt(ctx context.Context, cfg ooo.Config, b Benchmark, threshold int) (*baseline.Comparison, error) {
-	c := cfg
-	cmp, err := baselineCompareWithThreshold(ctx, c, b.Prog, threshold)
-	return cmp, err
+// redsocAt is cfg running ReDSOC at the given slack threshold.
+func redsocAt(cfg ooo.Config, threshold int) ooo.Config {
+	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
+	rc.Redsoc.ThresholdTicks = threshold
+	return rc
 }
 
-func baselineCompareWithThreshold(ctx context.Context, cfg ooo.Config, prog *isa.Program, threshold int) (*baseline.Comparison, error) {
+// simFunc simulates prog on cfg: ooo.Run itself, or a simMemo's run.
+type simFunc func(cfg ooo.Config, prog *isa.Program) (*ooo.Result, error)
+
+// compareCell runs the six schedulers with the given ReDSOC threshold, each
+// simulation through sim; TS starts from the cell's own baseline run. The
+// heartbeats between runs feed the campaign watchdog: a stall report names
+// which of the six simulations a hung cell last finished.
+func compareCell(ctx context.Context, sim simFunc, cfg ooo.Config, prog *isa.Program, threshold int) (*baseline.Comparison, error) {
 	beat := func(stage string, cycles int64) {
 		campaign.Heartbeat(ctx, fmt.Sprintf("%s/%s: %s done (%d cycles)", prog.Name, cfg.Name, stage, cycles))
 	}
-	base, err := ooo.Run(cfg.WithPolicy(ooo.PolicyBaseline), prog)
+	base, err := sim(cfg.WithPolicy(ooo.PolicyBaseline), prog)
 	if err != nil {
 		return nil, err
 	}
 	beat("baseline", base.Cycles)
-	rc := cfg.WithPolicy(ooo.PolicyRedsoc)
-	rc.Redsoc.ThresholdTicks = threshold
-	red, err := ooo.Run(rc, prog)
+	red, err := sim(redsocAt(cfg, threshold), prog)
 	if err != nil {
 		return nil, err
 	}
 	beat("redsoc", red.Cycles)
-	mos, err := ooo.Run(cfg.WithPolicy(ooo.PolicyMOS), prog)
+	mos, err := sim(cfg.WithPolicy(ooo.PolicyMOS), prog)
 	if err != nil {
 		return nil, err
 	}
 	beat("mos", mos.Cycles)
-	ld, err := ooo.Run(cfg.WithPolicy(ooo.PolicyLoadDelay), prog)
+	ld, err := sim(cfg.WithPolicy(ooo.PolicyLoadDelay), prog)
 	if err != nil {
 		return nil, err
 	}
 	beat("loaddelay", ld.Cycles)
-	sl, err := ooo.Run(cfg.WithPolicy(ooo.PolicySpecLSQ), prog)
+	sl, err := sim(cfg.WithPolicy(ooo.PolicySpecLSQ), prog)
 	if err != nil {
 		return nil, err
 	}
 	beat("speclsq", sl.Cycles)
-	ts, err := baseline.RunTS(cfg, prog)
+	ts, err := baseline.RunTSFrom(cfg, prog, base)
 	if err != nil {
 		return nil, err
 	}
 	if !red.ArchEqual(base) || !mos.ArchEqual(base) || !ld.ArchEqual(base) || !sl.ArchEqual(base) {
 		return nil, fmt.Errorf("harness: architectural divergence on %s/%s", prog.Name, cfg.Name)
 	}
-	return &baseline.Comparison{
+	// The five final memories are equal; keep one copy. maps.Equal, not
+	// ArchEqual, guards the swap: ArchEqual reads an absent address as 0,
+	// while a shared map must also hold the same addresses to encode alike.
+	cmp := &baseline.Comparison{
 		Benchmark: prog.Name, Core: cfg.Name,
 		Baseline: base, Redsoc: red, MOS: mos, LoadDelay: ld, SpecLSQ: sl, TS: ts,
-	}, nil
+	}
+	for _, r := range simulated(cmp)[1:] {
+		if maps.Equal(r.FinalMem, base.FinalMem) {
+			r.FinalMem = base.FinalMem
+		}
+	}
+	return cmp, nil
+}
+
+// simulated lists a comparison's five simulated results, baseline first.
+func simulated(cmp *baseline.Comparison) []*ooo.Result {
+	return []*ooo.Result{cmp.Baseline, cmp.Redsoc, cmp.MOS, cmp.LoadDelay, cmp.SpecLSQ}
 }
 
 // verify checks a kernel's reference results on every scheduler's final
 // memory.
 func verify(b Benchmark, cmp *baseline.Comparison) error {
 	for addr, want := range b.WantMem {
-		for _, res := range []*ooo.Result{cmp.Baseline, cmp.Redsoc, cmp.MOS, cmp.LoadDelay, cmp.SpecLSQ} {
+		for _, res := range simulated(cmp) {
 			if got := res.FinalMem[addr]; got != want {
 				return fmt.Errorf("harness: %s/%s/%s mem[%#x] = %#x, want %#x",
 					b.Name, cmp.Core, res.Config.Policy, addr, got, want)

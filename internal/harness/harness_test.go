@@ -203,7 +203,7 @@ func TestExtrasVerified(t *testing.T) {
 		if len(b.WantMem) == 0 {
 			t.Fatalf("%s carries no reference values", b.Name)
 		}
-		cmp, err := compareAt(context.Background(), cfg, b, th)
+		cmp, err := compareCell(context.Background(), ooo.Run, cfg, b.Prog, th)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}

@@ -33,7 +33,7 @@ func reportJSON(t *testing.T, g *Grid) []byte {
 // TestJournalResumeEquivalence runs a sweep-enabled grid fresh into a
 // journal, then resumes it from that journal: the resumed grid must be
 // bit-identical and must touch zero simulations — every sweep total and
-// every cell is a journal hit.
+// every cell is a journal hit, and the memo never calls the simulator.
 func TestJournalResumeEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	bs := Benchmarks(Quick)
@@ -59,10 +59,14 @@ func TestJournalResumeEquivalence(t *testing.T) {
 	}
 	defer resumed.Close()
 	var stats campaign.Stats
-	g2, err := Run(context.Background(), bs, cores,
-		Options{SweepThreshold: true, Workers: 2, Journal: resumed, Resume: true, Stats: &stats})
+	var sims simCounter
+	g2, err := run(context.Background(), bs, cores,
+		Options{SweepThreshold: true, Workers: 2, Journal: resumed, Resume: true, Stats: &stats}, sims.memo())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := sims.total(); n != 0 {
+		t.Fatalf("fully journaled resume simulated %d runs, want 0", n)
 	}
 	want, got := reportJSON(t, g1), reportJSON(t, g2)
 	if string(want) != string(got) {
