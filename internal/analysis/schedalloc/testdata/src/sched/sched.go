@@ -19,11 +19,11 @@ type sim struct {
 	name    string
 }
 
-// mergeReady is the sanctioned shape: reslice a reusable buffer, append into
+// rebuildReady is the sanctioned shape: reslice a reusable buffer, append into
 // it, swap the backing arrays. Nothing here allocates in steady state.
 //
 //redsoc:hotpath
-func (s *sim) mergeReady(woken []*entry) {
+func (s *sim) rebuildReady(woken []*entry) {
 	out := s.scratch[:0]
 	for _, e := range woken {
 		out = append(out, e)

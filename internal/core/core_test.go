@@ -463,3 +463,37 @@ func TestArbiterNegativeGrantCount(t *testing.T) {
 		t.Fatalf("negative m must grant nothing, got %v", g)
 	}
 }
+
+// TestGrantSortedGrantsAllWhenRequestsFit pins the premise of the
+// scheduler's select fast path: when a pool has no more requests than free
+// units, GrantSorted grants every request, skewed or not, whatever the mix
+// of speculative and conventional requests.
+func TestGrantSortedGrantsAllWhenRequestsFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(9)
+		reqs := make([]Request, n)
+		age := int64(0)
+		for i := range reqs {
+			age += 1 + rng.Int63n(4)
+			reqs[i] = Request{Age: age, Spec: rng.Intn(2) == 0}
+		}
+		for _, skewed := range []bool{false, true} {
+			for m := n; m <= n+2; m++ {
+				if m == 0 {
+					continue
+				}
+				got := NewArbiter(skewed).GrantSorted(reqs, m)
+				seen := make([]bool, n)
+				for _, gi := range got {
+					seen[gi] = true
+				}
+				for i, ok := range seen {
+					if !ok || len(got) != n {
+						t.Fatalf("trial %d skew=%v m=%d: granted %v of %d requests; request %d missing", trial, skewed, m, got, n, i)
+					}
+				}
+			}
+		}
+	}
+}

@@ -55,6 +55,18 @@ func Pairs() []Pair {
 	}
 }
 
+// CorpusSize is the number of seed-corpus programs the random differential
+// test walks by default.
+const CorpusSize = 300
+
+// CorpusProgram returns the i-th program of the seed corpus the random
+// differential test walks (seeds 1e9+i, sizes cycling through 48..240), so
+// other packages' tests can sweep the same inputs.
+func CorpusProgram(i int) (seed int64, prog *isa.Program) {
+	seed = int64(1e9 + i)
+	return seed, Generate(seed, 48+(i%5)*48)
+}
+
 // Generate emits a deterministic pseudo-random well-formed trace program of n
 // dynamic instructions. The mix deliberately stresses every scheduler
 // mechanism the rewrite touched: dense single-cycle dependency chains

@@ -20,7 +20,7 @@ func diffN(t *testing.T) int {
 		}
 		return n
 	}
-	return 300
+	return CorpusSize
 }
 
 // TestDifferentialRandomPrograms feeds generated programs through both
@@ -30,8 +30,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	n := diffN(t)
 	pairs := Pairs()
 	for i := 0; i < n; i++ {
-		seed := int64(1e9 + i)
-		prog := Generate(seed, 48+(i%5)*48)
+		seed, prog := CorpusProgram(i)
 		if n <= 1000 {
 			for _, p := range pairs {
 				if err := Compare(p, prog); err != nil {

@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -42,10 +43,15 @@ type Config struct {
 }
 
 // Validate rejects cache geometries newCache would refuse, so user-supplied
-// configurations fail with an error before the constructors assert.
+// configurations fail with an error before the constructors assert. Line
+// and set counts must be powers of two: the lookup path indexes by shift and
+// mask.
 func (c Config) Validate() error {
 	if c.LineBytes == 0 {
 		return nil // zero config takes DefaultConfig wholesale
+	}
+	if c.LineBytes < 0 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("mem: line size %d not a power of two", c.LineBytes)
 	}
 	for _, lvl := range []struct {
 		name        string
@@ -75,30 +81,32 @@ func DefaultConfig() Config {
 	}
 }
 
-// cache is one set-associative level with LRU replacement.
+// cache is one set-associative level with LRU replacement. Line and set
+// counts are powers of two, so an address splits into line offset, set index
+// and tag by shifts and a mask.
 type cache struct {
 	sets     int
 	ways     int
-	lineBits uint
+	lineBits uint     // log2(line bytes)
+	setMask  uint64   // sets-1
+	tagShift uint     // lineBits + log2(sets)
 	tags     []uint64 // sets*ways entries
 	valid    []bool
 	lru      []uint8 // age per way; 0 = most recent
 }
 
 func newCache(bytes, ways, line int) *cache {
-	if bytes <= 0 || ways <= 0 || line <= 0 || bytes%(ways*line) != 0 {
+	if bytes <= 0 || ways <= 0 || line <= 0 || line&(line-1) != 0 || bytes%(ways*line) != 0 {
 		panic(fmt.Sprintf("mem: invalid cache geometry %d/%d/%d", bytes, ways, line))
 	}
 	sets := bytes / (ways * line)
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache sets %d not a power of two", sets))
 	}
-	lb := uint(0)
-	for 1<<lb < line {
-		lb++
-	}
+	lb := log2(line)
 	return &cache{
 		sets: sets, ways: ways, lineBits: lb,
+		setMask: uint64(sets - 1), tagShift: lb + log2(sets),
 		tags:  make([]uint64, sets*ways),
 		valid: make([]bool, sets*ways),
 		lru:   make([]uint8, sets*ways),
@@ -115,12 +123,15 @@ func (c *cache) reset() {
 	}
 }
 
+// log2 returns the exponent of a power of two.
+func log2(n int) uint { return uint(bits.TrailingZeros(uint(n))) }
+
 func (c *cache) setOf(addr uint64) int {
-	return int((addr >> c.lineBits) % uint64(c.sets))
+	return int(addr >> c.lineBits & c.setMask)
 }
 
 func (c *cache) tagOf(addr uint64) uint64 {
-	return addr >> c.lineBits / uint64(c.sets)
+	return addr >> c.tagShift
 }
 
 // lookup probes the cache, updating LRU on a hit.
@@ -171,11 +182,12 @@ type Stats struct {
 
 // Hierarchy is the two-level cache timing model.
 type Hierarchy struct {
-	cfg      Config
-	l1       *cache
-	l2       *cache
-	stats    Stats
-	pfTagged map[uint64]struct{} // lines brought in by prefetch, not yet used
+	cfg       Config
+	lineShift uint // log2(cfg.LineBytes)
+	l1        *cache
+	l2        *cache
+	stats     Stats
+	pfTagged  map[uint64]struct{} // lines brought in by prefetch, not yet used
 }
 
 // hierPool recycles hierarchy line storage across simulator runs: a 2 MB L2
@@ -199,10 +211,11 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		// Different geometry: drop it and build fresh.
 	}
 	return &Hierarchy{
-		cfg:      cfg,
-		l1:       newCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
-		l2:       newCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
-		pfTagged: make(map[uint64]struct{}),
+		cfg:       cfg,
+		lineShift: log2(cfg.LineBytes),
+		l1:        newCache(cfg.L1Bytes, cfg.L1Ways, cfg.LineBytes),
+		l2:        newCache(cfg.L2Bytes, cfg.L2Ways, cfg.LineBytes),
+		pfTagged:  make(map[uint64]struct{}),
 	}
 }
 
@@ -219,7 +232,7 @@ func (h *Hierarchy) reset() {
 }
 
 func (h *Hierarchy) lineOf(addr uint64) uint64 {
-	return addr / uint64(h.cfg.LineBytes)
+	return addr >> h.lineShift
 }
 
 // prefetchNext runs the tagged next-line prefetcher: bring in the following

@@ -190,3 +190,64 @@ func TestRandomAccessesDoNotPanic(t *testing.T) {
 		h.Access(rng.Uint64() % (1 << 30))
 	}
 }
+
+// TestShiftMaskIndexingMatchesDivision pins the divide-free address split to
+// the division form it replaced — set = addr/line mod sets, tag =
+// addr/line/sets, line = addr/line — over random addresses, for every
+// geometry in a bounded space that Config.Validate accepts. Geometries it
+// rejects (non-power-of-two lines or set counts) must also fail newCache.
+func TestShiftMaskIndexingMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	addrs := make([]uint64, 256)
+	for i := range addrs {
+		addrs[i] = rng.Uint64() >> uint(rng.Intn(64))
+	}
+	accepted := 0
+	for line := 1; line <= 128; line++ {
+		for ways := 1; ways <= 8; ways++ {
+			for sets := 1; sets <= 64; sets++ {
+				bytes := line * ways * sets
+				cfg := DefaultConfig()
+				cfg.LineBytes = line
+				cfg.L1Bytes, cfg.L1Ways = bytes, ways
+				cfg.L2Bytes, cfg.L2Ways = 2*bytes, ways
+				if cfg.Validate() != nil {
+					func() {
+						defer func() { recover() }()
+						newCache(bytes, ways, line)
+						t.Fatalf("geometry %d/%d/%d: Validate rejects it but newCache accepts it", bytes, ways, line)
+					}()
+					continue
+				}
+				accepted++
+				h := NewHierarchy(cfg)
+				for _, c := range []*cache{h.l1, h.l2} {
+					for _, a := range addrs {
+						l, n := uint64(line), uint64(c.sets)
+						if got, want := c.setOf(a), int(a/l%n); got != want {
+							t.Fatalf("%d sets x %d ways x %dB: setOf(%#x) = %d, want %d", c.sets, ways, line, a, got, want)
+						}
+						if got, want := c.tagOf(a), a/l/n; got != want {
+							t.Fatalf("%d sets x %d ways x %dB: tagOf(%#x) = %#x, want %#x", c.sets, ways, line, a, got, want)
+						}
+						if got, want := h.lineOf(a), a/l; got != want {
+							t.Fatalf("%dB lines: lineOf(%#x) = %#x, want %#x", line, a, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no geometry accepted: the enumeration tests nothing")
+	}
+}
+
+func TestValidateRejectsNonPowerOfTwoLine(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LineBytes = 48
+	cfg.L1Bytes, cfg.L2Bytes = 48*4*256, 48*8*4096
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("48-byte lines must be rejected: the cache indexes by shift and mask")
+	}
+}

@@ -2,8 +2,6 @@
 
 package ooo
 
-import "redsoc/internal/core"
-
 // auditState is the production no-op stand-in for the redsoc_audit runtime
 // invariant checker (see audit_on.go). The empty struct and empty methods
 // compile away entirely, so steady-state simulation pays nothing for the
@@ -17,4 +15,6 @@ func (auditState) onIssue(*Simulator, *entry, int) {}
 
 func (auditState) onCommitMem(*Simulator, int32, int32) {}
 
-func (auditState) onArbRequests(*Simulator, []core.Request) {}
+func (auditState) onRequests(*Simulator, []issueReq) {}
+
+func (auditState) onReadyHit(*Simulator, *entry, int64) {}

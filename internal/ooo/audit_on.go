@@ -19,13 +19,17 @@ package ooo
 //     instant covers start + actual. This is ReDSOC's "overstate, never
 //     understate" safety argument made executable.
 //
+// It also checks the scheduler's own bookkeeping: select requests arrive in
+// age order (onRequests), the LSQ head retires with the ROB head
+// (onCommitMem), and every readiness-cache hit matches a fresh trackedReady
+// (onReadyHit).
+//
 // Violations panic with full context: an audit build exists to crash loudly
 // at the first inconsistency, not to keep simulating on corrupted timing.
 
 import (
 	"fmt"
 
-	"redsoc/internal/core"
 	"redsoc/internal/obs"
 	"redsoc/internal/timing"
 )
@@ -110,15 +114,26 @@ func (a *auditState) onCommitMem(s *Simulator, ei, lsqHead int32) {
 	}
 }
 
-// onArbRequests asserts the precondition of the arbiter's sorted fast path:
-// issue builds each pool's request list from the seq-sorted ready set, so
-// the ages must arrive in strictly ascending order.
-func (a *auditState) onArbRequests(s *Simulator, reqs []core.Request) {
+// onRequests asserts the precondition of the select fast path and the
+// arbiter's sorted path alike: issue builds each pool's request list from an
+// age-ordered walk of the ready bitmap, so the age positions must arrive in
+// strictly ascending order.
+func (a *auditState) onRequests(s *Simulator, reqs []issueReq) {
 	for i := 1; i < len(reqs); i++ {
-		if reqs[i-1].Age >= reqs[i].Age {
-			panic(fmt.Sprintf("ooo: audit: %s/%s: arbiter requests out of age order at %d: %d >= %d",
-				s.cfg.Name, s.cfg.Policy, i, reqs[i-1].Age, reqs[i].Age))
+		if reqs[i-1].pos >= reqs[i].pos {
+			panic(fmt.Sprintf("ooo: audit: %s/%s: select requests out of age order at %d: %d >= %d",
+				s.cfg.Name, s.cfg.Policy, i, reqs[i-1].pos, reqs[i].pos))
 		}
+	}
+}
+
+// onReadyHit asserts the readiness-cache rule: a cached positive
+// trackedReady answer must still be what trackedReady computes. wake,
+// cancelGrant and lsqSquash clear the cache at every event that can change
+// a positive answer; a stale hit means one of them was missed.
+func (a *auditState) onReadyHit(s *Simulator, e *entry, cycle int64) {
+	if ok, ready := s.trackedReady(e, cycle); !ok || ready != e.rdyAt {
+		auditFailf(s, e, "stale readiness cache: cached ready at %d, trackedReady now says (%v, %d)", e.rdyAt, ok, ready)
 	}
 }
 

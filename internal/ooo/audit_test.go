@@ -52,3 +52,18 @@ func TestAuditKernels(t *testing.T) {
 		}
 	}
 }
+
+// TestAuditRequestOrderChecked pins that the audit's select-request check
+// fires on out-of-order age positions. issue runs it on every pool's
+// requests before choosing between the select fast path (which never builds
+// the arbiter's view) and the sorted arbiter, so both paths stay checked.
+func TestAuditRequestOrderChecked(t *testing.T) {
+	s := mkSim(t, SmallConfig())
+	s.audit.onRequests(s, []issueReq{{pos: 1}, {pos: 4}}) // in order: no panic
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order select requests must panic under the audit build")
+		}
+	}()
+	s.audit.onRequests(s, []issueReq{{pos: 4}, {pos: 1}})
+}

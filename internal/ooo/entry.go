@@ -150,16 +150,25 @@ type entry struct {
 	//
 	// waiters is this entry's consumer list: waiting entries registered at
 	// dispatch to be re-examined when this entry broadcasts (and, for
-	// stores, when it commits — the memory-dependence wakeup). inReady marks
-	// membership in the scheduler's ready set (or its pending wake buffer),
-	// so multiple same-cycle broadcasts enqueue a consumer once. refs counts
+	// stores, when it commits — the memory-dependence wakeup). refs counts
 	// incoming references (source operand, grandparent tag, memory
 	// dependence, front-end redirect); an entry returns to the free list only
 	// once it has committed and refs reaches zero — see arena.go for the
 	// recycle-safety rule.
 	waiters []int32
-	inReady bool
 	refs    int32
+
+	// robSlot is this entry's ROB buffer slot, fixed from dispatch to
+	// commit: its bit in the scheduler's ready bitmap.
+	robSlot int32
+
+	// rdyOK caches a positive trackedReady answer, with rdyAt its tracked
+	// completion instant. A tracked producer's (broadcastCycle, estComp) is
+	// fixed once it broadcasts, so a positive answer holds until the entry's
+	// next wake (its memory-dependence store issuing or committing) or until
+	// validated flips (cancelGrant, lsqSquash) — exactly where it is cleared.
+	rdyOK bool
+	rdyAt timing.Ticks
 
 	// rsSlot is this entry's position in the reservation-station list while
 	// waiting, maintained by the swap-removal in rsRemove. RS order is
@@ -193,10 +202,6 @@ func (s *Simulator) srcValue(e *entry, i int) alu.Value {
 		return p.flagsOut.Pack()
 	}
 	return p.result
-}
-
-func rangesOverlap(aLo, aHi, bLo, bHi uint64) bool {
-	return aLo < bHi && bLo < aHi
 }
 
 // fuPool tracks per-unit occupancy as busy-until cycle bounds (exclusive).

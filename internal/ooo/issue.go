@@ -2,6 +2,7 @@ package ooo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"redsoc/internal/alu"
 	"redsoc/internal/core"
@@ -145,66 +146,15 @@ func (s *Simulator) specPending(e *entry, cycle int64) bool {
 }
 
 // issueReq is one reservation-station entry asking its FU pool's select logic
-// for a grant this cycle.
+// for a grant this cycle. pos is the entry's age position — its distance from
+// the ROB head — which orders requests the way seq does; won records a grant
+// from the pool's arbiter.
 type issueReq struct {
 	ei   int32
+	pos  int32
+	fu   fuKind
 	spec bool
-}
-
-// mergeReady folds the entries woken since the last scan into the ready set,
-// keeping it sorted ascending by seq — the order the old full-RS scan emitted
-// wakeup events in, which the golden event-stream fixtures pin. The wake
-// buffer is sorted in place (it is small and nearly sorted: dispatch and
-// broadcast both produce ascending seqs) and then merged; the two backing
-// arrays are swapped each merge so steady state allocates nothing.
-//
-//redsoc:hotpath
-func (s *Simulator) mergeReady() {
-	buf := s.wakeBuf
-	if len(buf) == 0 {
-		return
-	}
-	for i := 1; i < len(buf); i++ {
-		ei := buf[i]
-		sq := s.ent(ei).seq
-		j := i - 1
-		for j >= 0 && s.ent(buf[j]).seq > sq {
-			buf[j+1] = buf[j]
-			j--
-		}
-		buf[j+1] = ei
-	}
-	out := s.readyScratch[:0]
-	i, j := 0, 0
-	for i < len(s.ready) && j < len(buf) {
-		if s.ent(s.ready[i]).seq < s.ent(buf[j]).seq {
-			out = append(out, s.ready[i])
-			i++
-		} else {
-			out = append(out, buf[j])
-			j++
-		}
-	}
-	out = append(out, s.ready[i:]...)
-	out = append(out, buf[j:]...)
-	s.readyScratch = s.ready[:0]
-	s.ready = out
-	s.wakeBuf = buf[:0]
-}
-
-// insertBySeq inserts r into the seq-sorted grant list. Pools hand out grants
-// in priority (not age) order, and the lists are a handful of entries, so an
-// insertion shift replaces the per-cycle sort.Slice closure the old path
-// allocated.
-//
-//redsoc:hotpath
-func (s *Simulator) insertBySeq(granted []issueReq, r issueReq) []issueReq {
-	granted = append(granted, r)
-	sq := s.ent(r.ei).seq
-	for i := len(granted) - 1; i > 0 && s.ent(granted[i-1].ei).seq > sq; i-- {
-		granted[i], granted[i-1] = granted[i-1], granted[i]
-	}
-	return granted
+	won  bool
 }
 
 // issue runs one wakeup–select–execute round.
@@ -224,134 +174,186 @@ func (s *Simulator) insertBySeq(granted []issueReq, r issueReq) []issueReq {
 //
 //redsoc:hotpath
 func (s *Simulator) issue(cycle int64) {
-	s.mergeReady()
 	window := s.clock.CycleStart(cycle + 1)
 	params := s.issueParams()
 
-	live := s.ready[:0]
-	for _, ei := range s.ready {
-		e := s.ent(ei)
-		if e.state != stWaiting {
-			// Issued or fused since its last examination; registration on a
-			// recycled successor is impossible (waiters fire before commit).
-			e.inReady = false
-			continue
+	// Walk the ready bitmap oldest first: ROB slots [head, size), then the
+	// wrapped-around [0, head). Only occupied slots can carry a bit, and every
+	// set bit is a waiting entry (rsRemove clears it on issue or fusion).
+	head, size := s.rob.head, len(s.rob.buf)
+	for seg := 0; seg < 2; seg++ {
+		lo, hi, off := head, size, int32(-head)
+		if seg == 1 {
+			lo, hi, off = 0, head, int32(size-head)
 		}
-		if ok, ready := s.trackedReady(e, cycle); ok {
-			live = append(live, ei)
-			if params.IssueEligible(s.clock, window, ready, s.canTransparent(e)) {
-				s.reqs[e.fu] = append(s.reqs[e.fu], issueReq{ei: ei, spec: false})
-				if s.obs != nil && !e.obsWoke {
-					e.obsWoke = true
-					src := int64(-1)
-					if e.lastIdx >= 0 && e.srcs[e.lastIdx].prod != none {
-						src = s.ent(e.srcs[e.lastIdx].prod).seq
-					}
-					s.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: cycle, Seq: e.seq, Op: e.op,
-						PC: e.pc, FU: uint8(e.fu), Unit: -1, Arg: src})
+		for w := lo >> 6; w<<6 < hi; w++ {
+			word := s.ready[w]
+			if w == lo>>6 {
+				word &^= 1<<(lo&63) - 1
+			}
+			if n := hi - w<<6; n < 64 {
+				word &= 1<<n - 1
+			}
+			for word != 0 {
+				b := bits.TrailingZeros64(word)
+				word &= word - 1
+				slot := w<<6 + b
+				if s.examine(s.rob.buf[slot], int32(slot)+off, cycle, window, params) {
+					continue
 				}
+				// Blocked on a tag that has not broadcast (or an uncommitted
+				// store): the dispatch-time registration re-adds this entry
+				// when it fires.
+				s.ready[w] &^= 1 << b
 			}
-			continue
 		}
-		if s.specEligible(e, cycle) {
-			live = append(live, ei)
-			s.reqs[e.fu] = append(s.reqs[e.fu], issueReq{ei: ei, spec: true})
-			if s.obs != nil && !e.obsWoke {
-				e.obsWoke = true
-				s.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: cycle, Seq: e.seq, Op: e.op,
-					PC: e.pc, FU: uint8(e.fu), Unit: -1, Flags: obs.FlagSpec, Arg: s.ent(e.gp).seq})
-			}
-			continue
-		}
-		if s.specPending(e, cycle) {
-			live = append(live, ei)
-			continue
-		}
-		// Blocked on a tag that has not broadcast (or an uncommitted store):
-		// the dispatch-time registration re-adds this entry when it fires.
-		e.inReady = false
 	}
-	s.ready = live
+	if len(s.reqs) == 0 {
+		return
+	}
+	// The bitmap walk visits the ready set in age order, so requests arrive
+	// sorted by age position (the audit build verifies this).
+	s.audit.onRequests(s, s.reqs)
 
-	granted := s.granted[:0]
+	// Select, per pool. When a pool's requests fit its free units,
+	// GrantSorted would grant them all, skewed or not, and no conventional
+	// request can stall: the fast path skips the arbiter.
+	var all [numFUKinds]bool
 	stalled := false
 	for k := fuKind(0); k < numFUKinds; k++ {
-		rk := s.reqs[k]
-		if len(rk) == 0 {
+		n := s.nreq[k]
+		if n == 0 {
 			continue
 		}
+		s.nreq[k] = 0
 		free := s.fus[k].free(cycle + 1)
-		conv := 0
-		arb := s.arb[:0]
-		for _, r := range rk {
-			arb = append(arb, core.Request{Age: s.ent(r.ei).seq, Spec: r.spec})
-			if !r.spec {
-				conv++
-			}
-		}
-		s.arb = arb
-		if conv > free {
+		if n <= free {
+			all[k] = true
+		} else if s.arbitrate(k, free) {
 			stalled = true
 		}
-		// The ready set is seq-sorted and the request scan preserves that
-		// order, so the requests arrive pre-sorted by age (the audit build
-		// verifies this).
-		s.audit.onArbRequests(s, arb)
-		grants := s.arbiter.GrantSorted(arb, free)
-		for _, gi := range grants {
-			granted = s.insertBySeq(granted, rk[gi])
-		}
-		if s.obs != nil {
-			// Per-request select outcome, in request (reservation-station)
-			// order within the pool.
-			won := s.won[:0]
-			for range rk {
-				won = append(won, false)
-			}
-			for _, gi := range grants {
-				won[gi] = true
-			}
-			s.won = won
-			for i, r := range rk {
-				kind := obs.KindDeny
-				if won[i] {
-					kind = obs.KindGrant
-				}
-				var fl obs.Flag
-				if r.spec {
-					fl = obs.FlagSpec
-				}
-				re := s.ent(r.ei)
-				s.obs.Emit(obs.Event{Kind: kind, Cycle: cycle, Seq: re.seq, Op: re.op,
-					PC: re.pc, FU: uint8(k), Unit: -1, Flags: fl})
-			}
-		}
-		s.reqs[k] = rk[:0]
+		s.emitSelect(cycle, k, all[k])
 	}
-	s.granted = granted
 	if stalled {
 		s.res.FUStallCycles++
 	}
 
-	// Grants were inserted in age order so producers execute before
-	// same-cycle (EGPW-woken) consumers.
+	// Issue the grants in age order, so producers execute before same-cycle
+	// (EGPW-woken) consumers.
 	issuedAny := false
-	for _, g := range granted {
-		e := s.ent(g.ei)
-		if s.issueEntry(e, cycle, g.spec) {
+	for _, r := range s.reqs {
+		if !all[r.fu] && !r.won {
+			continue
+		}
+		e := s.ent(r.ei)
+		if s.issueEntry(e, cycle, r.spec) {
 			issuedAny = true
 			s.rsRemove(e)
 		}
 	}
+	s.reqs = s.reqs[:0]
 	if issuedAny {
 		s.res.IssueCycles++
+	}
+}
+
+// arbitrate runs pool k's oversubscribed select through the arbiter, marking
+// the winning requests, and reports whether a conventional request lost for
+// want of a unit (an FU stall).
+//
+//redsoc:hotpath
+func (s *Simulator) arbitrate(k fuKind, free int) (stalled bool) {
+	conv := 0
+	arb, idx := s.arb[:0], s.arbIdx[:0]
+	for i, r := range s.reqs {
+		if r.fu != k {
+			continue
+		}
+		arb = append(arb, core.Request{Age: int64(r.pos), Spec: r.spec})
+		idx = append(idx, i)
+		if !r.spec {
+			conv++
+		}
+	}
+	s.arb, s.arbIdx = arb, idx
+	for _, gi := range s.arbiter.GrantSorted(arb, free) {
+		s.reqs[idx[gi]].won = true
+	}
+	return conv > free
+}
+
+// examine runs one ready-set entry through wakeup: it queues the entry's
+// select request if it is schedulable this cycle and reports whether the
+// entry stays in the ready set (the keep rules above).
+//
+//redsoc:hotpath
+func (s *Simulator) examine(ei, pos int32, cycle int64, window timing.Ticks, params core.Params) bool {
+	e := s.ent(ei)
+	ok, ready := e.rdyOK, e.rdyAt
+	if ok {
+		s.audit.onReadyHit(s, e, cycle)
+	} else if ok, ready = s.trackedReady(e, cycle); ok {
+		e.rdyOK, e.rdyAt = true, ready
+	}
+	if ok {
+		if params.IssueEligible(s.clock, window, ready, s.canTransparent(e)) {
+			s.reqs = append(s.reqs, issueReq{ei: ei, pos: pos, fu: e.fu}) //lint:allow schedalloc preallocated at New to RSESize, the most waiting entries one cycle can hold
+			s.nreq[e.fu]++
+			if s.obs != nil && !e.obsWoke {
+				e.obsWoke = true
+				src := int64(-1)
+				if e.lastIdx >= 0 && e.srcs[e.lastIdx].prod != none {
+					src = s.ent(e.srcs[e.lastIdx].prod).seq
+				}
+				s.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: cycle, Seq: e.seq, Op: e.op,
+					PC: e.pc, FU: uint8(e.fu), Unit: -1, Arg: src})
+			}
+		}
+		return true
+	}
+	if s.specEligible(e, cycle) {
+		s.reqs = append(s.reqs, issueReq{ei: ei, pos: pos, fu: e.fu, spec: true}) //lint:allow schedalloc preallocated at New to RSESize, the most waiting entries one cycle can hold
+		s.nreq[e.fu]++
+		if s.obs != nil && !e.obsWoke {
+			e.obsWoke = true
+			s.obs.Emit(obs.Event{Kind: obs.KindWakeup, Cycle: cycle, Seq: e.seq, Op: e.op,
+				PC: e.pc, FU: uint8(e.fu), Unit: -1, Flags: obs.FlagSpec, Arg: s.ent(e.gp).seq})
+		}
+		return true
+	}
+	return s.specPending(e, cycle)
+}
+
+// emitSelect reports pool k's per-request select outcome to the observer,
+// in request (age) order; all means every request was granted.
+//
+//redsoc:hotpath
+func (s *Simulator) emitSelect(cycle int64, k fuKind, all bool) {
+	if s.obs == nil {
+		return
+	}
+	for _, r := range s.reqs {
+		if r.fu != k {
+			continue
+		}
+		kind := obs.KindDeny
+		if all || r.won {
+			kind = obs.KindGrant
+		}
+		var fl obs.Flag
+		if r.spec {
+			fl = obs.FlagSpec
+		}
+		re := s.ent(r.ei)
+		s.obs.Emit(obs.Event{Kind: kind, Cycle: cycle, Seq: re.seq, Op: re.op,
+			PC: re.pc, FU: uint8(k), Unit: -1, Flags: fl})
 	}
 }
 
 // rsRemove unlinks an entry that left the waiting state from the
 // reservation-station list by swapping the tail slot into its place — O(1)
 // against the old full-list compaction, which rescanned the entire window
-// every issuing cycle.
+// every issuing cycle — and clears its ready bit.
 //
 //redsoc:hotpath
 func (s *Simulator) rsRemove(e *entry) {
@@ -362,6 +364,7 @@ func (s *Simulator) rsRemove(e *entry) {
 	s.ent(li).rsSlot = slot
 	s.rs = s.rs[:last]
 	e.rsSlot = -1
+	s.ready[e.robSlot>>6] &^= 1 << (e.robSlot & 63)
 }
 
 // issueEntry consumes one select grant: validate operand availability, plan
@@ -671,6 +674,7 @@ func (s *Simulator) cancelGrant(e *entry, cycle int64, spec bool) bool {
 			PC: e.pc, FU: uint8(e.fu), Unit: -1, Flags: fl})
 	}
 	e.validated = true
+	e.rdyOK = false
 	return false
 }
 
@@ -693,6 +697,7 @@ func (s *Simulator) lsqSquash(e, dep *entry, cycle int64, spec bool) bool {
 			PC: e.pc, FU: uint8(e.fu), Unit: -1, Arg: dep.seq})
 	}
 	e.validated = true
+	e.rdyOK = false
 	return false
 }
 

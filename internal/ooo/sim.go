@@ -73,29 +73,32 @@ type Simulator struct {
 	rat      [isa.NumRenamedRegs]int32
 	archRegs [isa.NumRenamedRegs]alu.Value
 
-	rob    seqRing // FIFO of slab indices, head first
-	rs     []int32 // waiting entries; arbitrary order (rsRemove swaps), slots tracked in entry.rsSlot
-	lsq    seqRing // memory ops, dispatch order
-	storeQ seqRing // the LSQ's stores only, dispatch order (memDep scans)
+	rob seqRing // FIFO of slab indices, head first
+	rs  []int32 // waiting entries; arbitrary order (rsRemove swaps), slots tracked in entry.rsSlot
+	lsq seqRing // memory ops, dispatch order
 
 	// ready is the scheduler's wakeup set — the only entries issue examines —
-	// kept sorted ascending by seq so events are emitted in the same order
-	// the old full-RS scan produced. wakeBuf collects entries woken since the
-	// last merge (producer broadcasts, store commits, fresh dispatches);
-	// readyScratch is the merge target, swapped with ready each merge so
-	// neither list reallocates in steady state.
-	ready        []int32
-	wakeBuf      []int32
-	readyScratch []int32
+	// as a bitmap over ROB slots (entry.robSlot). ROB order is age order, so
+	// walking the set bits from the ROB head visits the set oldest first: the
+	// order the old full-RS scan emitted wakeup events in, which the golden
+	// event-stream fixtures pin. wake sets a bit (idempotently); the issue
+	// scan clears the bits of entries blocked on a future tag event; rsRemove
+	// clears an entry's bit when it leaves the waiting state, so a slot is
+	// never visited after its slab entry is recycled.
+	ready []uint64
 
-	// Reusable issue-path scratch: per-FU request lists, the arbiter request
-	// view, the seq-ordered grant list, the per-pool win flags for select
-	// observability, and the rename/training candidate indices.
-	reqs    [numFUKinds][]issueReq
-	arb     []core.Request
-	granted []issueReq
-	won     []bool
-	cands   []int
+	// reqs is the cycle's select requests from every pool, in age order (the
+	// ready-bitmap walk's order); nreq counts them per pool. Each request is a
+	// waiting RS entry, so RSESize bounds the list. The select stage marks
+	// grants in place and the issue walk consumes them in this order.
+	reqs []issueReq
+	nreq [numFUKinds]int
+
+	// Reusable issue-path scratch: the arbiter request view and its map back
+	// into reqs, and the rename/training candidate indices.
+	arb    []core.Request
+	arbIdx []int
+	cands  []int
 
 	// fuseCands holds tryFuse's statically eligible dependents, re-sorted by
 	// seq so fusion probing stays oldest-first over the unordered RS list.
@@ -170,7 +173,8 @@ func New(cfg Config, prog *isa.Program) (*Simulator, error) {
 	}
 	s.rob = newSeqRing(cfg.ROBSize)
 	s.lsq = newSeqRing(cfg.LSQSize)
-	s.storeQ = newSeqRing(cfg.LSQSize)
+	s.ready = make([]uint64, (cfg.ROBSize+63)/64)
+	s.reqs = make([]issueReq, 0, cfg.RSESize)
 	s.fus[fuALU] = newFUPool(cfg.NumALU)
 	s.fus[fuSIMD] = newFUPool(cfg.NumSIMD)
 	s.fus[fuFP] = newFUPool(cfg.NumFP)
@@ -339,7 +343,6 @@ func (s *Simulator) commit(cycle int64) {
 			s.lsq.popFront()
 		}
 		if e.isStore {
-			s.storeQ.popFront()
 			// Loads blocked on this store's memory dependence become
 			// schedulable the moment it retires; commit runs before issue, so
 			// the wake is visible the same cycle — matching the old full-RS
@@ -428,8 +431,13 @@ func (s *Simulator) dispatch(cycle int64) {
 		e.dest = dec.Dest[ti]
 		e.pc = in.PC
 		e.addr = in.Addr
-		e.addrLo = dec.AddrLo[ti]
-		e.addrHi = dec.AddrHi[ti]
+		if isMem {
+			e.addrLo = dec.AddrLo[ti]
+			e.addrHi = e.addrLo + 8
+			if bits&trace.BitVecAccess != 0 {
+				e.addrHi += 8
+			}
+		}
 		e.broadcastCycle = -1
 		e.lastIdx = -1
 		e.gp = none
@@ -438,6 +446,7 @@ func (s *Simulator) dispatch(cycle int64) {
 		e.isStore = bits&trace.BitStore != 0
 		e.fu = fuKind(dec.Pool[ti])
 		e.dispatchCycle = cycle
+		e.robSlot = s.rob.push(ei)
 		s.nextSeq++
 		// Predictor faults corrupt shared table state before this op reads
 		// it, so the op itself can observe the corruption; the ordinary
@@ -459,7 +468,9 @@ func (s *Simulator) dispatch(cycle int64) {
 		}
 
 		s.rename(ei, e)
-		s.linkMemDep(e)
+		if e.isLoad {
+			s.linkMemDep(e, dec.StoreDep[ti])
+		}
 		s.watchWakeups(ei, e)
 
 		// Destination renaming (including the implicit flags destination).
@@ -470,14 +481,10 @@ func (s *Simulator) dispatch(cycle int64) {
 			s.rat[flagsRenameIdx] = ei
 		}
 
-		s.rob.push(ei)
 		e.rsSlot = int32(len(s.rs))
 		s.rs = append(s.rs, ei) //lint:allow schedalloc amortized: rs grows to window occupancy once, then appends into warm capacity
 		if isMem {
 			s.lsq.push(ei)
-			if e.isStore {
-				s.storeQ.push(ei)
-			}
 		}
 		if s.tracer != nil {
 			s.tracer.dispatch(cycle, e, in)
@@ -568,16 +575,18 @@ func (s *Simulator) rename(ei int32, e *entry) {
 	}
 }
 
-// wake queues a waiting entry for the scheduler's next wakeup scan; the
-// inReady flag makes it idempotent while the entry is already in the ready
-// set or the pending buffer.
+// wake puts a waiting entry in the scheduler's ready set for its next
+// wakeup scan (setting its bit is idempotent) and drops its cached tracked
+// readiness: every event that can change trackedReady's answer for an entry
+// whose answer was already positive — a memory-dependence store issuing or
+// committing — reaches it through here (see entry.rdyOK).
 //
 //redsoc:hotpath
 func (s *Simulator) wake(ei int32) {
 	e := s.ent(ei)
-	if e.state == stWaiting && !e.inReady {
-		e.inReady = true
-		s.wakeBuf = append(s.wakeBuf, ei) //lint:allow schedalloc amortized: wakeBuf peaks at ready-set size early in the run, then stays warm
+	if e.state == stWaiting {
+		e.rdyOK = false
+		s.ready[e.robSlot>>6] |= 1 << (e.robSlot & 63)
 	}
 }
 
@@ -622,25 +631,20 @@ func (s *Simulator) watchWakeups(ei int32, e *entry) {
 }
 
 // linkMemDep points a load at the youngest older overlapping store still in
-// the LSQ. Addresses are exact in trace form, so this is perfect (oracle)
+// flight. Addresses are exact in trace form, so this is perfect (oracle)
 // memory disambiguation; the latency rules still respect store completion.
-// The scan walks the store queue — the LSQ's stores only — youngest→oldest,
-// visiting exactly the candidates the old full-LSQ scan examined, minus the
-// loads it skipped.
+// The decode already names the youngest earlier overlapping store (sd, a
+// trace index, -1 if none). Commit is in order, so if that store has
+// retired every older overlapping one has too, and the load has no
+// dependence; otherwise it is in the ROB, whose entries are consecutive in
+// trace order starting at the first uncommitted instruction.
 //
 //redsoc:hotpath
-func (s *Simulator) linkMemDep(e *entry) {
-	if !e.isLoad {
-		return
-	}
-	for i := s.storeQ.len() - 1; i >= 0; i-- {
-		sti := s.storeQ.at(i)
-		st := s.ent(sti)
-		if rangesOverlap(e.addrLo, e.addrHi, st.addrLo, st.addrHi) {
-			e.memDep = sti
-			s.retain(sti)
-			return
-		}
+func (s *Simulator) linkMemDep(e *entry, sd int32) {
+	if committed := s.res.Instructions; int64(sd) >= committed {
+		di := s.rob.at(int(int64(sd) - committed))
+		e.memDep = di
+		s.retain(di)
 	}
 }
 

@@ -110,10 +110,16 @@ type Decoded struct {
 	// slot carrying that role, -1 when absent — the positional mapping the
 	// execute stage routes operands through.
 	Roles [][4]int8
-	// AddrLo and AddrHi give the [lo, hi) byte range a memory op touches
-	// (both zero for non-memory ops). Vector accesses touch 16 bytes.
+	// AddrLo is the 8-byte-aligned start of the range a memory op touches
+	// (zero for non-memory ops). The range is one word, or two under
+	// BitVecAccess, so its end is AddrLo+8 or AddrLo+16 and is not stored.
 	AddrLo []uint64
-	AddrHi []uint64
+	// StoreDep is, for a load, the trace index of the youngest earlier store
+	// sharing an 8-byte word with it, or -1 (and -1 for every other op).
+	// Ranges are whole aligned words, so sharing a word is exactly
+	// overlapping; in-order commit makes this the load's memory dependence
+	// whenever that store is still in flight (see internal/ooo dispatch).
+	StoreDep []int32
 
 	// Image is the dense, read-only initial memory image, shared by every
 	// simulation of this program.
@@ -131,18 +137,21 @@ func (d *Decoded) Len() int { return len(d.Bits) }
 func Decode(p *isa.Program) *Decoded {
 	n := len(p.Instrs)
 	d := &Decoded{
-		Prog:   p,
-		Class:  make([]isa.Class, n),
-		Pool:   make([]uint8, n),
-		Bits:   make([]InstrBits, n),
-		Dest:   make([]uint8, n),
-		NSrc:   make([]uint8, n),
-		Srcs:   make([][MaxSrcs]uint8, n),
-		Roles:  make([][4]int8, n),
-		AddrLo: make([]uint64, n),
-		AddrHi: make([]uint64, n),
-		Image:  mem.NewImage(p.Mem),
+		Prog:     p,
+		Class:    make([]isa.Class, n),
+		Pool:     make([]uint8, n),
+		Bits:     make([]InstrBits, n),
+		Dest:     make([]uint8, n),
+		NSrc:     make([]uint8, n),
+		Srcs:     make([][MaxSrcs]uint8, n),
+		Roles:    make([][4]int8, n),
+		AddrLo:   make([]uint64, n),
+		StoreDep: make([]int32, n),
+		Image:    mem.NewImage(p.Mem),
 	}
+	// lastStore maps an 8-byte word address to the youngest store so far
+	// touching it.
+	lastStore := map[uint64]int32{}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		class := in.Op.Class()
@@ -205,14 +214,22 @@ func Decode(p *isa.Program) *Decoded {
 		}
 		d.NSrc[i] = slot
 
+		d.StoreDep[i] = -1
 		if bits&BitMem != 0 {
 			lo := in.Addr &^ 7
-			size := uint64(8)
-			if vec {
-				size = 16
-			}
 			d.AddrLo[i] = lo
-			d.AddrHi[i] = lo + size
+			words := 1
+			if vec {
+				words = 2
+			}
+			for w := 0; w < words; w++ {
+				word := lo>>3 + uint64(w)
+				if bits&BitStore != 0 {
+					lastStore[word] = int32(i)
+				} else if st, ok := lastStore[word]; ok && st > d.StoreDep[i] {
+					d.StoreDep[i] = st
+				}
+			}
 		}
 	}
 	return d

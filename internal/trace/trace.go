@@ -27,6 +27,15 @@ import (
 const (
 	magic   = "RDSC"
 	version = 1
+
+	// maxNameLen bounds the program name a trace may declare. Names are
+	// benchmark identifiers; a larger length is a corrupt or hostile header.
+	maxNameLen = 4096
+	// maxInstrPrealloc caps the instruction slice Read sizes from the
+	// header's count; longer traces grow it by append. The count is
+	// untrusted: a few header bytes can claim billions of records, each at
+	// least 8 bytes on disk, and the read fails at the first missing one.
+	maxInstrPrealloc = 1 << 18
 )
 
 // Write serializes a program.
@@ -107,6 +116,9 @@ func Read(r io.Reader) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nameLen > maxNameLen {
+		return nil, fmt.Errorf("trace: name length %d exceeds %d", nameLen, maxNameLen)
+	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBuf); err != nil {
 		return nil, err
@@ -133,7 +145,7 @@ func Read(r io.Reader) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Instrs = make([]isa.Instruction, 0, nIns)
+	p.Instrs = make([]isa.Instruction, 0, min(nIns, maxInstrPrealloc))
 	lastPC := int64(0)
 	for i := uint64(0); i < nIns; i++ {
 		var rec [8]byte

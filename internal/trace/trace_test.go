@@ -2,12 +2,14 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
 	"redsoc/internal/isa"
 	"redsoc/internal/ooo"
 	"redsoc/internal/trace"
+	"redsoc/internal/workload"
 	"redsoc/internal/workload/mibench"
 )
 
@@ -113,5 +115,62 @@ func TestReadRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-2]
 	if _, err := trace.Read(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated stream must fail")
+	}
+}
+
+// TestReadTwelveByteTraceNameLength is the regression test for the 12-byte
+// trace that killed the process: a 1 TiB name length sized the name buffer
+// straight from the header, an out-of-memory crash recover cannot catch.
+func TestReadTwelveByteTraceNameLength(t *testing.T) {
+	file := binary.AppendUvarint([]byte("RDSC\x01"), 1<<40)
+	file = append(file, 'x')
+	if len(file) != 12 {
+		t.Fatalf("fixture is %d bytes, want 12", len(file))
+	}
+	_, err := trace.Read(bytes.NewReader(file))
+	if err == nil || !strings.Contains(err.Error(), "name length") {
+		t.Fatalf("Read = %v, want a name-length error", err)
+	}
+}
+
+// TestReadHugeInstructionCount is the regression test for the instruction
+// count: a header claiming 2^40 records must fail at the first missing
+// record instead of preallocating for all of them.
+func TestReadHugeInstructionCount(t *testing.T) {
+	// name "p", no memory image, 2^40 instructions, then three bytes of a
+	// record that needs at least eight.
+	file := []byte("RDSC\x01\x01p\x00")
+	file = binary.AppendUvarint(file, 1<<40)
+	file = append(file, 0, 0, 0)
+	_, err := trace.Read(bytes.NewReader(file))
+	if err == nil || !strings.Contains(err.Error(), "instr 0") {
+		t.Fatalf("Read = %v, want a truncated-record error at instr 0", err)
+	}
+}
+
+// TestStoreDep pins the decode's memory-dependence column: for each load, the
+// youngest earlier store sharing an aligned 8-byte word, across 8- and
+// 16-byte accesses, partial overlap of a vector access, a store after the
+// load, and several candidate stores.
+func TestStoreDep(t *testing.T) {
+	b := workload.NewBuilder("storedep")
+	b.Store(isa.R(1), isa.R(0), 0x100)             // 0: word 0x100
+	b.Store(isa.R(1), isa.R(0), 0x104)             // 1: same word (unaligned address)
+	b.Load(isa.R(2), isa.R(0), 0x100)              // 2: youngest store to the word is 1
+	b.VecStore(isa.V(1), isa.R(0), 0x208)          // 3: words 0x208, 0x210
+	b.Load(isa.R(3), isa.R(0), 0x210)              // 4: second word of the vector store
+	b.Load(isa.R(3), isa.R(0), 0x200)              // 5: just below it: no dependence
+	b.VecLoad(isa.V(2), isa.R(0), 0x100)           // 6: words 0x100, 0x108 -> store 1
+	b.Store(isa.R(1), isa.R(0), 0x108)             // 7: second word of load 6's range
+	b.VecLoad(isa.V(2), isa.R(0), 0x100)           // 8: partial overlap; youngest is 7
+	b.Load(isa.R(4), isa.R(0), 0x300)              // 9: stored only later
+	b.Store(isa.R(1), isa.R(0), 0x300)             // 10
+	b.Op3(isa.OpADD, isa.R(5), isa.R(4), isa.R(4)) // 11: not a memory op
+	want := []int32{-1, -1, 1, -1, 3, -1, 1, -1, 7, -1, -1, -1}
+	d := trace.Decode(b.Build())
+	for i, w := range want {
+		if got := d.StoreDep[i]; got != w {
+			t.Errorf("StoreDep[%d] = %d, want %d", i, got, w)
+		}
 	}
 }
